@@ -63,6 +63,9 @@ run_bench() {
   echo "== bench build"
   cargo build --release -p landau-bench --benches --bins
 
+  echo "== perfbench build (separate workspace: catches removed items the benchmark imports)"
+  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
   echo "== tensor cache bench (quick gate: verify + 2x speedup)"
   cargo bench -q -p landau-bench --bench tensor_cache -- --quick
 

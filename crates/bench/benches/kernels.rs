@@ -7,9 +7,10 @@
 use landau_bench::write_bench_json;
 use landau_core::ipdata::IpData;
 use landau_core::kernels::{
-    assemble_atomic, assemble_setvalues, inner_integral_cpu, inner_integral_cpu_cached,
-    inner_integral_cuda_model, inner_integral_cuda_model_cached, inner_integral_kokkos_cached,
-    inner_integral_kokkos_model, landau_element_matrices, mass_element_matrices,
+    assemble_atomic, assemble_setvalues, inner_integral_batched_cuda_cached,
+    inner_integral_batched_kokkos_cached, inner_integral_cpu, inner_integral_cpu_cached,
+    inner_integral_cuda_model, inner_integral_kokkos_model, landau_element_matrices,
+    mass_element_matrices,
 };
 use landau_core::species::{Species, SpeciesList};
 use landau_core::tensor::landau_tensor_2d;
@@ -102,10 +103,10 @@ fn main() {
         inner_integral_cpu_cached(&ip, &sl, &table)
     });
     bench(r, "inner_integral/cuda_model_cached", 10, || {
-        inner_integral_cuda_model_cached(&ip, &sl, 16, &table)
+        inner_integral_batched_cuda_cached(&[&ip], &[true], &sl, 16, &table)
     });
     bench(r, "inner_integral/kokkos_model_cached", 10, || {
-        inner_integral_kokkos_cached(&ip, &sl, 16, &table, &PlainFactory)
+        inner_integral_batched_kokkos_cached(&[&ip], &[true], &sl, 16, &table, &PlainFactory)
     });
     let recompute = TensorTable::build(&ip, 0);
     bench(r, "inner_integral/cpu_recompute", 10, || {

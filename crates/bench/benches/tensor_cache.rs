@@ -19,8 +19,8 @@
 use landau_bench::{perf_operator, write_bench_json};
 use landau_core::ipdata::IpData;
 use landau_core::kernels::{
-    inner_integral_cpu, inner_integral_cpu_cached, inner_integral_cuda_model,
-    inner_integral_cuda_model_cached, inner_integral_kokkos_cached, inner_integral_kokkos_model,
+    inner_integral_batched_cuda_cached, inner_integral_batched_kokkos_cached, inner_integral_cpu,
+    inner_integral_cpu_cached, inner_integral_cuda_model, inner_integral_kokkos_model,
 };
 use landau_core::operator::Backend;
 use landau_core::solver::{ThetaMethod, TimeIntegrator};
@@ -67,12 +67,19 @@ fn main() {
     let (r_cuda, _) = inner_integral_cuda_model(&ip, &op.species, 16);
     let (r_kk, _) = inner_integral_kokkos_model(&ip, &op.species, 8);
     let (c_cpu, _) = inner_integral_cpu_cached(&ip, &op.species, &table);
-    let (c_cuda, _) = inner_integral_cuda_model_cached(&ip, &op.species, 16, &table);
-    let (c_kk, _) = inner_integral_kokkos_cached(&ip, &op.species, 8, &table, &PlainFactory);
+    let (c_cuda, _) = inner_integral_batched_cuda_cached(&[&ip], &[true], &op.species, 16, &table);
+    let (c_kk, _) = inner_integral_batched_kokkos_cached(
+        &[&ip],
+        &[true],
+        &op.species,
+        8,
+        &table,
+        &PlainFactory,
+    );
     for (name, diff) in [
         ("cpu", r_cpu.max_rel_diff(&c_cpu)),
-        ("cuda_model", r_cuda.max_rel_diff(&c_cuda)),
-        ("kokkos_model", r_kk.max_rel_diff(&c_kk)),
+        ("cuda_model", r_cuda.max_rel_diff(&c_cuda[0])),
+        ("kokkos_model", r_kk.max_rel_diff(&c_kk[0])),
     ] {
         println!("verify {name:<14} cached vs uncached rel diff {diff:.3e}");
         assert!(

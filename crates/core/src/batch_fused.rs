@@ -18,21 +18,22 @@
 //!   from subsequent fused launches without desynchronizing the rest.
 //!
 //! **Bitwise contract.** Per vertex, the lockstep iteration replays the
-//! exact arithmetic of [`TimeIntegrator`]'s guarded step: the batched
-//! kernels are per-lane bitwise equal to the per-vertex cached kernels
-//! (tested in `kernels`), the slot map writes `M − γL` values identical to
-//! `build_solver`'s clone/axpy/permute pipeline, and the batched LU
-//! factor/solve is per-lane bitwise equal to `BlockBandSolver` (tested in
-//! `landau-sparse`). A lane that fails its lockstep attempt routes into
-//! the *identical* [`AdaptiveStepper`] recovery policy (damped retry →
-//! Δt halving) that the host loop uses, so the whole batch state is
-//! bitwise equal to the per-vertex reference path.
+//! exact arithmetic of [`TimeIntegrator`]'s guarded step: both run the
+//! same [`NewtonGuard`] for every convergence, failure and restore
+//! decision, the batched kernels are per-lane bitwise equal to their
+//! one-lane launches (tested in `kernels`), the slot map writes `M − γL`
+//! values identical to `build_solver`'s clone/axpy/permute pipeline, and
+//! the batched LU factor/solve is per-lane bitwise equal to
+//! `BlockBandSolver` (tested in `landau-sparse`). A lane that fails its
+//! lockstep attempt routes into the *identical* [`AdaptiveStepper`]
+//! recovery policy (damped retry → Δt halving) that the host loop uses,
+//! so the whole batch state is bitwise equal to the per-vertex reference
+//! path.
 
-use crate::invariants::StepContext;
 use crate::kernels;
 use crate::operator::Backend;
 use crate::recover::{AdaptiveStepper, RecoveryFailure, RecoveryStats};
-use crate::solver::{all_finite, NonFiniteSite, SolveError, StepStats, STALL_REDUCTION};
+use crate::solver::{NewtonGuard, StepStats};
 use landau_sparse::csr::Csr;
 use landau_sparse::vecops;
 use landau_sparse::BatchedBandStorage;
@@ -170,31 +171,23 @@ impl FusedWorkspace {
     }
 }
 
-/// One lane's Newton state inside the lockstep loop — the per-vertex
-/// locals of `TimeIntegrator::step_guarded`, lifted into a struct so N
-/// vertices can interleave through the fused stages.
+/// One lane's Newton state inside the lockstep loop: the vertex's
+/// [`NewtonGuard`] — the same guard `TimeIntegrator::step_guarded` runs —
+/// plus its update buffer, so N vertices can interleave through the fused
+/// stages. A lane retires from the lockstep once its guard is decided.
 struct Lane {
     /// Vertex index in the batch.
     v: usize,
-    /// Entry state `f^n` (the transactional restore point).
-    fn_old: Vec<f64>,
-    /// Explicit θ-method part (only for θ < 1).
-    rhs_old: Option<Vec<f64>>,
-    /// Residual buffer.
-    r: Vec<f64>,
+    guard: NewtonGuard,
     /// Newton update buffer.
     d: Vec<f64>,
-    theta: f64,
-    r0_norm: Option<f64>,
-    prev_rnorm: f64,
-    stall: usize,
-    /// Loop entries consumed (the per-lane Newton budget).
-    entries: usize,
-    stats: StepStats,
-    failure: Option<SolveError>,
-    /// Retired from the lockstep (converged, failed, or budget out).
-    done: bool,
-    t_start: Instant,
+}
+
+/// Indices of the lanes still in the lockstep.
+fn live_lanes(lanes: &[Lane]) -> Vec<usize> {
+    (0..lanes.len())
+        .filter(|&k| lanes[k].guard.is_live())
+        .collect()
 }
 
 /// Outcome of one macro step for one vertex (`None` for vertices the
@@ -250,83 +243,33 @@ pub(crate) fn fused_macro_step(
     let sp_step = landau_obs::span(landau_obs::names::STEP);
     let n_total = ws.n * ws.ns;
 
-    // Per-lane entry bookkeeping (the prologue of `step_guarded`).
-    let mut lanes: Vec<Lane> = Vec::with_capacity(lockstep.len());
-    for &v in &lockstep {
-        let st = &mut steppers[v];
-        let theta = st.ti.method.theta();
-        let state = &mut states[v];
-        let t_start = Instant::now();
-        let mut lane = Lane {
+    // Per-lane entry bookkeeping (the prologue of `step_guarded`; batch
+    // advances pass no source).
+    let mut lanes: Vec<Lane> = lockstep
+        .iter()
+        .map(|&v| Lane {
             v,
-            fn_old: Vec::new(),
-            rhs_old: None,
-            r: vec![0.0; n_total],
+            guard: NewtonGuard::begin(&mut steppers[v].ti, &states[v], e_field, None),
             d: vec![0.0; n_total],
-            theta,
-            r0_norm: None,
-            prev_rnorm: f64::INFINITY,
-            stall: 0,
-            entries: 0,
-            stats: StepStats::default(),
-            failure: None,
-            done: false,
-            t_start,
-        };
-        if !all_finite(state) {
-            lane.failure = Some(SolveError::NonFinite {
-                site: NonFiniteSite::State,
-            });
-            lane.done = true;
-        } else {
-            lane.fn_old = state.to_vec();
-            if theta < 1.0 {
-                // Explicit part for θ < 1 (batch advances pass no source).
-                let t0 = Instant::now();
-                lane.rhs_old = Some(st.ti.op.collision_rhs(&lane.fn_old, e_field));
-                lane.stats.t_landau += t0.elapsed().as_secs_f64();
-            }
-        }
-        lanes.push(lane);
-    }
+        })
+        .collect();
 
     // The lockstep Newton loop: one fused launch per stage per round.
     loop {
-        // Retire lanes whose Newton budget is exhausted — the post-loop
-        // divergence/stall classification of `step_guarded`.
+        // Enter the next iteration on every live lane; lanes whose Newton
+        // budget is exhausted are classified and retire here.
         for lane in lanes.iter_mut() {
-            if lane.done {
-                continue;
-            }
-            if lane.entries >= steppers[lane.v].ti.max_newton {
-                let r_final = lane.stats.residual;
-                let r0 = lane.r0_norm.unwrap_or(r_final);
-                lane.failure = Some(if r_final >= r0 {
-                    SolveError::NewtonDiverged {
-                        iters: lane.stats.newton_iters,
-                        r0,
-                        r_final,
-                    }
-                } else {
-                    SolveError::NewtonStalled {
-                        iters: lane.stats.newton_iters,
-                        r_final,
-                    }
-                });
-                lane.done = true;
+            if lane.guard.is_live() && !lane.guard.next_iteration(&steppers[lane.v].ti) {
                 counters.retired += 1;
             }
         }
-        let live: Vec<usize> = (0..lanes.len()).filter(|&k| !lanes[k].done).collect();
+        let live = live_lanes(&lanes);
         if live.is_empty() {
             break;
         }
         let _sp_iter = landau_obs::span(landau_obs::names::NEWTON_ITER);
         counters.newton_rounds += 1;
         counters.newton_lane_iters += live.len() as u64;
-        for &k in &live {
-            lanes[k].entries += 1;
-        }
 
         // Stage 1 — fused Jacobian build: pack every live lane, run ONE
         // batched inner-integral launch over all (lane, element) blocks,
@@ -338,7 +281,7 @@ pub(crate) fn fused_macro_step(
             let space = st.ti.op.space.clone();
             st.ti.op.ipdata.pack(&space, &states[lanes[k].v]);
         }
-        let active: Vec<bool> = lanes.iter().map(|l| !l.done).collect();
+        let active: Vec<bool> = lanes.iter().map(|l| l.guard.is_live()).collect();
         let (mut coeffs, tallies) = {
             let ips: Vec<&crate::ipdata::IpData> =
                 lanes.iter().map(|l| &steppers[l.v].ti.op.ipdata).collect();
@@ -395,71 +338,32 @@ pub(crate) fn fused_macro_step(
             st.ti
                 .op
                 .assemble_tail(&coeffs[k], tallies[k], &mut ws.mats[v], e_field);
-            lanes[k].stats.t_landau += t_kernel_share + t0.elapsed().as_secs_f64();
+            lanes[k].guard.stats.t_landau += t_kernel_share + t0.elapsed().as_secs_f64();
         }
         drop(sp_jb);
 
-        // Stage 2 — per-lane residuals and the convergence guard ladder
-        // (identical order and arithmetic to `step_guarded`).
+        // Stage 2 — per-lane residuals through the shared guard ladder.
         for &k in &live {
-            let lane = &mut lanes[k];
-            let st = &steppers[lane.v];
+            let Lane { v, guard: g, .. } = &mut lanes[k];
+            let v = *v;
             let sp_res = landau_obs::span(landau_obs::names::RESIDUAL);
-            st.ti.residual(
-                &ws.mats[lane.v],
-                &states[lane.v],
-                &lane.fn_old,
+            steppers[v].ti.residual(
+                &ws.mats[v],
+                &states[v],
+                &g.fn_old,
                 None,
-                lane.rhs_old.as_deref(),
+                g.rhs_old.as_deref(),
                 dt,
-                lane.theta,
-                &mut lane.r,
+                g.theta,
+                &mut g.r,
             );
-            let rnorm = vecops::norm2(&lane.r);
+            let rnorm = vecops::norm2(&g.r);
             drop(sp_res);
-            lane.stats.residual = rnorm;
-            if !rnorm.is_finite() {
-                lane.failure = Some(SolveError::NonFinite {
-                    site: NonFiniteSite::Residual,
-                });
-                lane.done = true;
+            if !g.check_residual(&steppers[v].ti, rnorm) {
                 counters.retired += 1;
-                continue;
             }
-            let r0 = *lane.r0_norm.get_or_insert(rnorm);
-            if rnorm <= st.ti.atol + st.ti.rtol * r0 {
-                lane.stats.converged = true;
-                lane.done = true;
-                counters.retired += 1;
-                continue;
-            }
-            if rnorm > st.ti.divergence_ratio * r0 {
-                lane.failure = Some(SolveError::NewtonDiverged {
-                    iters: lane.stats.newton_iters,
-                    r0,
-                    r_final: rnorm,
-                });
-                lane.done = true;
-                counters.retired += 1;
-                continue;
-            }
-            if rnorm >= STALL_REDUCTION * lane.prev_rnorm {
-                lane.stall += 1;
-                if lane.stall >= st.ti.stall_window {
-                    lane.failure = Some(SolveError::NewtonStalled {
-                        iters: lane.stats.newton_iters,
-                        r_final: rnorm,
-                    });
-                    lane.done = true;
-                    counters.retired += 1;
-                    continue;
-                }
-            } else {
-                lane.stall = 0;
-            }
-            lane.prev_rnorm = rnorm;
         }
-        let live: Vec<usize> = (0..lanes.len()).filter(|&k| !lanes[k].done).collect();
+        let live = live_lanes(&lanes);
         if live.is_empty() {
             continue;
         }
@@ -485,7 +389,7 @@ pub(crate) fn fused_macro_step(
             let v = lanes[k].v;
             let dst = ci * ws.ns;
             cpos[k] = dst;
-            let neg_gamma = -(dt * lanes[k].theta);
+            let neg_gamma = -(dt * lanes[k].guard.theta);
             ws.fill_vertex(v, dst, &steppers[v].ti.op.mass, neg_gamma);
             // Same per-device fault cadence as the host path's
             // `poll_fault(SITE_LU_FACTOR, n_blocks)` after build_solver.
@@ -514,25 +418,19 @@ pub(crate) fn fused_macro_step(
         counters.launches += 1;
         let t_factor_share = t_factor.elapsed().as_secs_f64() / live.len() as f64;
         for &k in &live {
-            let lane = &mut lanes[k];
-            lane.stats.t_factor += t_factor_share;
             // First failing species block in block order — the same error
             // `BlockBandSolver::factor` reports.
-            for a in 0..ws.ns {
-                if let Some(row) = failed[cpos[k] + a] {
-                    lane.failure = Some(SolveError::SingularJacobian { block: a, row });
-                    lane.done = true;
-                    counters.retired += 1;
-                    for b in 0..ws.ns {
-                        mask[cpos[k] + b] = false;
-                    }
-                    break;
-                }
+            let factored = (0..ws.ns)
+                .find_map(|a| failed[cpos[k] + a].map(|row| (a, row)))
+                .map_or(Ok(()), Err);
+            if !lanes[k].guard.check_factor(t_factor_share, factored) {
+                counters.retired += 1;
+                mask[cpos[k]..cpos[k] + ws.ns].fill(false);
             }
         }
         drop(sp_f);
         drop(sp_bf);
-        let live: Vec<usize> = (0..lanes.len()).filter(|&k| !lanes[k].done).collect();
+        let live = live_lanes(&lanes);
         if live.is_empty() {
             continue;
         }
@@ -548,7 +446,7 @@ pub(crate) fn fused_macro_step(
             for a in 0..ws.ns {
                 let m = cpos[k] + a;
                 for i in 0..ws.n {
-                    ws.x_soa[i * ws.n_lanes + m] = lane.r[a * ws.n + ws.perm[i]];
+                    ws.x_soa[i * ws.n_lanes + m] = lane.guard.r[a * ws.n + ws.perm[i]];
                 }
             }
         }
@@ -559,7 +457,7 @@ pub(crate) fn fused_macro_step(
         drop(sp_bs);
         for &k in &live {
             let lane = &mut lanes[k];
-            lane.stats.t_solve += t_solve_share;
+            lane.guard.stats.t_solve += t_solve_share;
             for a in 0..ws.ns {
                 let m = cpos[k] + a;
                 for i in 0..ws.n {
@@ -578,53 +476,24 @@ pub(crate) fn fused_macro_step(
             {
                 f.apply(&mut lane.d);
             }
-            if !all_finite(&lane.d) {
-                lane.failure = Some(SolveError::NonFinite {
-                    site: NonFiniteSite::Solution,
-                });
-                lane.done = true;
+            if !lane.guard.check_update(&lane.d) {
                 counters.retired += 1;
                 continue;
             }
             vecops::axpy(-1.0, &lane.d, &mut states[lane.v]);
-            lane.stats.newton_iters += 1;
+            lane.guard.stats.newton_iters += 1;
         }
     }
     drop(sp_step);
 
-    // Per-lane epilogue: monitor check, transactional restore, and the
-    // `AdaptiveStepper` success/recovery routing of the host fast path.
+    // Per-lane epilogue: the guard's monitor check and transactional
+    // restore, then the `AdaptiveStepper` success/recovery routing of the
+    // host fast path.
     for lane in lanes {
         let v = lane.v;
         let st = &mut steppers[v];
         let state = &mut states[v];
-        let mut stats = lane.stats;
-        let mut failure = lane.failure;
-        if failure.is_none() && stats.converged {
-            if let Some(mut mon) = st.ti.monitor.take() {
-                let checked = mon.after_step(
-                    &st.ti.op,
-                    &st.ti.moments,
-                    &StepContext {
-                        f_old: &lane.fn_old,
-                        f_new: state,
-                        dt,
-                        theta: lane.theta,
-                        e_field,
-                        source: None,
-                        residual: &lane.r,
-                    },
-                );
-                st.ti.monitor = Some(mon);
-                if let Err(e) = checked {
-                    failure = Some(e);
-                }
-            }
-        }
-        if failure.is_some() && !lane.fn_old.is_empty() {
-            state.copy_from_slice(&lane.fn_old);
-        }
-        stats.t_total = lane.t_start.elapsed().as_secs_f64();
+        let (stats, failure) = lane.guard.finish(&mut st.ti, state, dt, e_field, None);
         outcomes[v] = Some(match failure {
             None => {
                 st.note_success(stats.newton_iters);

@@ -235,11 +235,6 @@ fn run_staged_symbolic(input: &VerifyInput, vector_length: usize, ctx: &Symbolic
     let _ = inner_integral_kokkos_with(&input.ip, &input.species, vector_length, ctx);
 }
 
-fn run_cached_symbolic(input: &VerifyInput, vector_length: usize, ctx: &SymbolicCtx) {
-    let _ =
-        inner_integral_kokkos_cached(&input.ip, &input.species, vector_length, &input.table, ctx);
-}
-
 fn run_batched_cached_symbolic(input: &VerifyInput, vector_length: usize, ctx: &SymbolicCtx) {
     // Two active lanes sharing one packed state: the smallest launch that
     // exercises the flattened (lane, element) league geometry.
@@ -263,12 +258,6 @@ pub fn register(reg: &mut KernelRegistry) {
         family: PolicyFamily::standard(),
         budget: staging_scratch_budget,
         run_symbolic: run_staged_symbolic,
-    });
-    reg.add(KernelEntry {
-        name: "inner_integral_kokkos_cached",
-        family: PolicyFamily::standard(),
-        budget: cached_scratch_budget,
-        run_symbolic: run_cached_symbolic,
     });
     reg.add(KernelEntry {
         name: "inner_integral_kokkos_batched_cached",
@@ -417,116 +406,6 @@ pub fn inner_integral_cpu_cached(
                 gke[iq] = [acc[0], acc[1]];
                 gde[iq] = [acc[2], acc[3], acc[4]];
             }
-            t
-        })
-        .reduce(Tally::new, |a, b| a + b);
-    (out, tally)
-}
-
-/// Cached inner integral in the CUDA programming model: one block per
-/// element as in [`inner_integral_cuda_model`], but the x lanes stride over
-/// field-element *tiles* instead of points, each lane streaming whole tiles
-/// from the table with register partials combined by the warp-shuffle
-/// butterfly.
-pub fn inner_integral_cuda_model_cached(
-    ip: &IpData,
-    species: &SpeciesList,
-    dim_x: usize,
-    table: &TensorTable,
-) -> (IpCoeffs, Tally) {
-    let _sp = landau_obs::span(landau_obs::names::INNER_INTEGRAL);
-    debug_assert!(table.matches(ip), "table geometry must match the ipdata");
-    let fk = species.k_field_factors();
-    let fd = species.d_field_factors();
-    let nq = ip.nq;
-    let ne = ip.n / nq;
-    let stream = CachedStream {
-        table,
-        ip,
-        fk: &fk,
-        fd: &fd,
-    };
-    let mut out = IpCoeffs::zeros(ip.n);
-    let tally: Tally = out
-        .gk
-        .par_chunks_mut(nq)
-        .zip(out.gd.par_chunks_mut(nq))
-        .enumerate()
-        .map(|(e, (gke, gde))| {
-            let mut t = Tally::new();
-            // The block still prefetches the packed field stream once per
-            // element for the species staging.
-            t.dram_read += ip.stream_bytes();
-            t.shared_bytes += ip.stream_bytes();
-            let mut tb = Tally::new();
-            let mut scratch = TileScratch::new(nq);
-            for iq in 0..nq {
-                let gi = e * nq + iq;
-                let acc: [f64; 5] = cuda_strided_reduce(dim_x, ne, &mut t, |je, a| {
-                    stream.accumulate(gi, je, &mut scratch, a, &mut tb);
-                });
-                gke[iq] = [acc[0], acc[1]];
-                gde[iq] = [acc[2], acc[3], acc[4]];
-            }
-            t.merge(&tb);
-            t
-        })
-        .reduce(Tally::new, |a, b| a + b);
-    (out, tally)
-}
-
-/// Cached inner integral in the Kokkos model: league member per element,
-/// team over its integration points, and the tile sweep as a generic-object
-/// `parallel_reduce` over a `ThreadVectorRange(0, N_e)`. Generic over the
-/// [`TeamFactory`] so the checked members can run it too. Unlike the
-/// uncached kernel no coordinate staging is needed — the table already
-/// encodes the test-point geometry.
-pub fn inner_integral_kokkos_cached<F: TeamFactory>(
-    ip: &IpData,
-    species: &SpeciesList,
-    vector_length: usize,
-    table: &TensorTable,
-    factory: &F,
-) -> (IpCoeffs, Tally) {
-    let _sp = landau_obs::span(landau_obs::names::INNER_INTEGRAL);
-    debug_assert!(table.matches(ip), "table geometry must match the ipdata");
-    let fk = species.k_field_factors();
-    let fd = species.d_field_factors();
-    let nq = ip.nq;
-    let ne = ip.n / nq;
-    let policy = TeamPolicy {
-        league_size: ne,
-        team_size: nq,
-        vector_length,
-    };
-    let stream = CachedStream {
-        table,
-        ip,
-        fk: &fk,
-        fd: &fd,
-    };
-    let mut out = IpCoeffs::zeros(ip.n);
-    let tally: Tally = out
-        .gk
-        .par_chunks_mut(nq)
-        .zip(out.gd.par_chunks_mut(nq))
-        .enumerate()
-        .map(|(e, (gke, gde))| {
-            let mut t = Tally::new();
-            t.dram_read += ip.stream_bytes();
-            let mut tb = Tally::new();
-            let mut scratch = TileScratch::new(nq);
-            let mut member = factory.member(e, policy, &mut t);
-            for iq in member.team_range() {
-                let gi = e * nq + iq;
-                let acc: [f64; 5] = member.vector_reduce(ne, |je, a: &mut [f64; 5]| {
-                    stream.accumulate(gi, je, &mut scratch, a, &mut tb);
-                });
-                gke[iq] = [acc[0], acc[1]];
-                gde[iq] = [acc[2], acc[3], acc[4]];
-            }
-            drop(member);
-            t.merge(&tb);
             t
         })
         .reduce(Tally::new, |a, b| a + b);
@@ -731,10 +610,12 @@ pub fn inner_integral_batched_cpu_cached(
     (out, tallies)
 }
 
-/// Batched cached inner integral in the CUDA programming model: one grid
-/// whose blocks index (lane, element) pairs, each block identical to an
-/// [`inner_integral_cuda_model_cached`] block of its lane — x lanes stride
-/// field-element tiles, register partials joined by the shuffle butterfly.
+/// Cached inner integral in the CUDA programming model: one grid whose
+/// blocks index (lane, element) pairs. Each block is the uncached
+/// [`inner_integral_cuda_model`] block of its lane, except that the x lanes
+/// stride field-element *tiles* instead of points, each streaming whole
+/// tiles from the table with register partials joined by the shuffle
+/// butterfly. A single vertex is the one-lane launch `(&[ip], &[true])`.
 pub fn inner_integral_batched_cuda_cached(
     ips: &[&IpData],
     active: &[bool],
@@ -790,14 +671,16 @@ pub fn inner_integral_batched_cuda_cached(
     (out, tallies)
 }
 
-/// Batched cached inner integral in the Kokkos model: *one* league whose
-/// members are the flattened (lane, element) blocks of every active lane,
-/// team over integration points, tile sweep as a `parallel_reduce` over
+/// Cached inner integral in the Kokkos model: *one* league whose members
+/// are the flattened (lane, element) blocks of every active lane, team
+/// over integration points, tile sweep as a `parallel_reduce` over
 /// `ThreadVectorRange(0, N_e)`. The reduction tree depends only on the
 /// vector length and trip count — never on the league rank — so each
-/// lane's output is bitwise equal to its standalone per-lane launch.
-/// Generic over the [`TeamFactory`] so the checked/symbolic members can
-/// prove the batched geometry too.
+/// lane's output is bitwise equal to its one-lane launch, whose league is
+/// the elements. Unlike the uncached kernel no coordinate staging is
+/// needed — the table already encodes the test-point geometry. Generic
+/// over the [`TeamFactory`] so the checked/symbolic members can prove the
+/// batched geometry too.
 pub fn inner_integral_batched_kokkos_cached<F: TeamFactory>(
     ips: &[&IpData],
     active: &[bool],
@@ -1281,19 +1164,21 @@ mod tests {
         let table = TensorTable::build(&ip, usize::MAX);
         let (cpu, t_ref) = inner_integral_cpu(&ip, &sl);
         let (ccpu, t_cc) = inner_integral_cpu_cached(&ip, &sl, &table);
-        let (ccuda, t_cu) = inner_integral_cuda_model_cached(&ip, &sl, 16, &table);
-        let (ckk, _) = inner_integral_kokkos_cached(&ip, &sl, 8, &table, &PlainFactory);
+        let (ccuda, t_cu) = inner_integral_batched_cuda_cached(&[&ip], &[true], &sl, 16, &table);
+        let (ckk, _) =
+            inner_integral_batched_kokkos_cached(&[&ip], &[true], &sl, 8, &table, &PlainFactory);
+        let (ccuda, t_cu, ckk) = (&ccuda[0], t_cu[0], &ckk[0]);
         assert!(
             cpu.max_rel_diff(&ccpu) < 1e-14,
             "{}",
             cpu.max_rel_diff(&ccpu)
         );
         assert!(
-            cpu.max_rel_diff(&ccuda) < 1e-14,
+            cpu.max_rel_diff(ccuda) < 1e-14,
             "{}",
-            cpu.max_rel_diff(&ccuda)
+            cpu.max_rel_diff(ccuda)
         );
-        assert!(cpu.max_rel_diff(&ckk) < 1e-14, "{}", cpu.max_rel_diff(&ckk));
+        assert!(cpu.max_rel_diff(ckk) < 1e-14, "{}", cpu.max_rel_diff(ckk));
         // Streaming the table trades tensor flops for table bytes.
         assert!(t_cc.flops < t_ref.flops / 4);
         assert!(t_cc.cache_read > 0 && t_cc.cache_flops_saved > 0);
@@ -1336,16 +1221,27 @@ mod tests {
 
         let (b_cpu, t_cpu) = inner_integral_batched_cpu_cached(&ips, &active, &sl, &table);
         let (b_cuda, t_cuda) = inner_integral_batched_cuda_cached(&ips, &active, &sl, 16, &table);
-        let (b_kk, _) =
+        let (b_kk, t_kk) =
             inner_integral_batched_kokkos_cached(&ips, &active, &sl, 8, &table, &PlainFactory);
-        for (l, ipl) in ips.iter().enumerate() {
+        for (l, &ipl) in ips.iter().enumerate() {
+            // References are one-lane launches, so this pins lane
+            // independence: a lane's bits and tallies do not depend on
+            // which other lanes share the launch.
             let (r_cpu, rt_cpu) = inner_integral_cpu_cached(ipl, &sl, &table);
-            let (r_cuda, rt_cuda) = inner_integral_cuda_model_cached(ipl, &sl, 16, &table);
-            let (r_kk, _) = inner_integral_kokkos_cached(ipl, &sl, 8, &table, &PlainFactory);
+            let (r_cuda, rt_cuda) =
+                inner_integral_batched_cuda_cached(&[ipl], &[true], &sl, 16, &table);
+            let (r_kk, rt_kk) = inner_integral_batched_kokkos_cached(
+                &[ipl],
+                &[true],
+                &sl,
+                8,
+                &table,
+                &PlainFactory,
+            );
             for (a, b) in [
                 (&b_cpu[l], &r_cpu),
-                (&b_cuda[l], &r_cuda),
-                (&b_kk[l], &r_kk),
+                (&b_cuda[l], &r_cuda[0]),
+                (&b_kk[l], &r_kk[0]),
             ] {
                 for (x, y) in a.gk.iter().flatten().zip(b.gk.iter().flatten()) {
                     assert_eq!(x.to_bits(), y.to_bits());
@@ -1354,10 +1250,11 @@ mod tests {
                     assert_eq!(x.to_bits(), y.to_bits());
                 }
             }
-            // Per-lane tallies match the standalone launches exactly
-            // (u64 counters, order-independent sums).
+            // Per-lane tallies match the one-lane launches exactly (u64
+            // counters, order-independent sums).
             assert_eq!(t_cpu[l], rt_cpu);
-            assert_eq!(t_cuda[l], rt_cuda);
+            assert_eq!(t_cuda[l], rt_cuda[0]);
+            assert_eq!(t_kk[l], rt_kk[0]);
         }
     }
 

@@ -27,12 +27,8 @@
 //! * [`recover`] — the adaptive recovery policy over the transactional
 //!   step: damped retries, Δt halving with a bounded budget, and Δt
 //!   re-growth after the stiff phase passes;
-//! * [`multigrid`] — grid-per-species-group configurations (§III-H) with
-//!   cross-grid collisions and conservation;
 //! * [`batch`] — batched multi-vertex collision advance (the conclusion's
-//!   proposed batching over spatial points);
-//! * [`three_d`] — the full 3D Cartesian operator path the paper's library
-//!   supports (eq. 3 tensor, GMRES-based implicit advance).
+//!   proposed batching over spatial points).
 
 pub mod batch;
 pub(crate) mod batch_fused;
@@ -41,7 +37,6 @@ pub mod invariants;
 pub mod ipdata;
 pub mod kernels;
 pub mod moments;
-pub mod multigrid;
 pub mod operator;
 pub mod recover;
 pub mod registry;
@@ -49,7 +44,6 @@ pub mod solver;
 pub mod species;
 pub mod tensor;
 pub mod tensor_cache;
-pub mod three_d;
 
 pub use landau_vgpu::fault::{FaultKind, FaultPlan, FaultSpec, InjectedFault};
 

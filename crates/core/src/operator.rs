@@ -43,6 +43,13 @@ pub enum AssemblyPath {
     Colored,
 }
 
+/// Lane 0 of a one-lane batched kernel launch.
+fn one_lane(
+    (mut coeffs, mut tallies): (Vec<kernels::IpCoeffs>, Vec<Tally>),
+) -> (kernels::IpCoeffs, Tally) {
+    (coeffs.swap_remove(0), tallies.swap_remove(0))
+}
+
 /// The assembled Landau + electric-field operator for one state.
 #[derive(Clone, Debug)]
 pub struct AssembledOperator {
@@ -214,19 +221,23 @@ impl LandauOperator {
             (Some(t), Backend::Cpu) => {
                 kernels::inner_integral_cpu_cached(&self.ipdata, &self.species, t)
             }
-            (Some(t), Backend::CudaModel) => kernels::inner_integral_cuda_model_cached(
-                &self.ipdata,
+            (Some(t), Backend::CudaModel) => one_lane(kernels::inner_integral_batched_cuda_cached(
+                &[&self.ipdata],
+                &[true],
                 &self.species,
                 self.dim_x,
                 t,
-            ),
-            (Some(t), Backend::KokkosModel) => kernels::inner_integral_kokkos_cached(
-                &self.ipdata,
-                &self.species,
-                self.dim_x,
-                t,
-                &PlainFactory,
-            ),
+            )),
+            (Some(t), Backend::KokkosModel) => {
+                one_lane(kernels::inner_integral_batched_kokkos_cached(
+                    &[&self.ipdata],
+                    &[true],
+                    &self.species,
+                    self.dim_x,
+                    t,
+                    &PlainFactory,
+                ))
+            }
         };
         // Seeded fault injection (resilience tests): corrupt one lane of
         // the kernel output when a plan armed on this device is due. With

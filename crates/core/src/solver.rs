@@ -165,9 +165,9 @@ impl std::error::Error for SolveError {}
 /// Residual-reduction factor below which an iteration counts as "no
 /// progress" for stall detection (a converging quasi-Newton iteration
 /// contracts far faster than this every iteration).
-pub(crate) const STALL_REDUCTION: f64 = 0.999;
+const STALL_REDUCTION: f64 = 0.999;
 
-pub(crate) fn all_finite(v: &[f64]) -> bool {
+fn all_finite(v: &[f64]) -> bool {
     v.iter().all(|x| x.is_finite())
 }
 
@@ -218,6 +218,233 @@ impl StepStats {
         self.t_total += o.t_total;
         self.residual = self.residual.max(o.residual);
         self.converged &= o.converged;
+    }
+}
+
+/// The Newton policy of one implicit step, shared by both orchestrators:
+/// [`TimeIntegrator`]'s guarded step and the fused batched lockstep
+/// (`batch_fused`), which holds one guard per vertex. It owns the entry
+/// prologue (non-finite state check, `f^n` and the explicit θ part), the
+/// converged / diverged / stalled ladder on each residual, the factor and
+/// update checks, the budget-exhaustion classification, and the epilogue
+/// (conservation monitor, restore to `f^n` on failure). The orchestrators
+/// own only the linear algebra between the checks, so both take the same
+/// decisions in the same order on the same numbers. Tolerances and budget
+/// are read from the integrator at each check.
+pub(crate) struct NewtonGuard {
+    /// θ of the integrator's method.
+    pub(crate) theta: f64,
+    /// Entry state `f^n`, the transactional restore point (empty when the
+    /// entry state was non-finite).
+    pub(crate) fn_old: Vec<f64>,
+    /// Explicit θ-method part `L(f^n) f^n + M s` (only for θ < 1).
+    pub(crate) rhs_old: Option<Vec<f64>>,
+    /// Residual buffer; holds the last evaluated residual.
+    pub(crate) r: Vec<f64>,
+    /// The step's counts and component times.
+    pub(crate) stats: StepStats,
+    /// The failure that stopped the iteration, if any.
+    failure: Option<SolveError>,
+    r0_norm: Option<f64>,
+    prev_rnorm: f64,
+    stall: usize,
+    /// Newton iterations entered (the budget counter).
+    entries: usize,
+    t_start: Instant,
+}
+
+impl NewtonGuard {
+    /// Step prologue: reject a non-finite entry state, keep `f^n`, and
+    /// evaluate the explicit part for θ < 1 (charged to `t_landau`).
+    pub(crate) fn begin(
+        ti: &mut TimeIntegrator,
+        state: &[f64],
+        e_field: f64,
+        source: Option<&[f64]>,
+    ) -> Self {
+        let mut g = NewtonGuard {
+            theta: ti.method.theta(),
+            fn_old: Vec::new(),
+            rhs_old: None,
+            r: Vec::new(),
+            stats: StepStats::default(),
+            failure: None,
+            r0_norm: None,
+            prev_rnorm: f64::INFINITY,
+            stall: 0,
+            entries: 0,
+            t_start: Instant::now(),
+        };
+        if !all_finite(state) {
+            g.failure = Some(SolveError::NonFinite {
+                site: NonFiniteSite::State,
+            });
+            return g;
+        }
+        g.fn_old = state.to_vec();
+        if g.theta < 1.0 {
+            let t0 = Instant::now();
+            let mut r = ti.op.collision_rhs(&g.fn_old, e_field);
+            g.stats.t_landau += t0.elapsed().as_secs_f64();
+            if let Some(s) = source {
+                let n = ti.op.n();
+                for a in 0..ti.op.species.len() {
+                    let ms = ti.op.mass.matvec(&s[a * n..(a + 1) * n]);
+                    for i in 0..n {
+                        r[a * n + i] += ms[i];
+                    }
+                }
+            }
+            g.rhs_old = Some(r);
+        }
+        g.r = vec![0.0; state.len()];
+        g
+    }
+
+    /// Neither converged nor failed: the iteration may go on.
+    pub(crate) fn is_live(&self) -> bool {
+        self.failure.is_none() && !self.stats.converged
+    }
+
+    /// Enter the next Newton iteration. False once the guard is decided —
+    /// and, for a live guard whose budget is spent, after classifying it:
+    /// [`SolveError::NewtonDiverged`] if the last residual norm is not below
+    /// the first, [`SolveError::NewtonStalled`] otherwise.
+    pub(crate) fn next_iteration(&mut self, ti: &TimeIntegrator) -> bool {
+        if !self.is_live() {
+            return false;
+        }
+        if self.entries >= ti.max_newton {
+            let r_final = self.stats.residual;
+            let r0 = self.r0_norm.unwrap_or(r_final);
+            self.failure = Some(if r_final >= r0 {
+                SolveError::NewtonDiverged {
+                    iters: self.stats.newton_iters,
+                    r0,
+                    r_final,
+                }
+            } else {
+                SolveError::NewtonStalled {
+                    iters: self.stats.newton_iters,
+                    r_final,
+                }
+            });
+            return false;
+        }
+        self.entries += 1;
+        true
+    }
+
+    /// The convergence ladder on this iteration's residual norm: non-finite,
+    /// converged (`≤ atol + rtol·r0`), diverged (`> divergence_ratio·r0`),
+    /// or stalled (`stall_window` consecutive reductions worse than
+    /// [`STALL_REDUCTION`]). True iff the iteration should go on to factor.
+    pub(crate) fn check_residual(&mut self, ti: &TimeIntegrator, rnorm: f64) -> bool {
+        self.stats.residual = rnorm;
+        if !rnorm.is_finite() {
+            self.failure = Some(SolveError::NonFinite {
+                site: NonFiniteSite::Residual,
+            });
+            return false;
+        }
+        let r0 = *self.r0_norm.get_or_insert(rnorm);
+        if rnorm <= ti.atol + ti.rtol * r0 {
+            self.stats.converged = true;
+            return false;
+        }
+        if rnorm > ti.divergence_ratio * r0 {
+            self.failure = Some(SolveError::NewtonDiverged {
+                iters: self.stats.newton_iters,
+                r0,
+                r_final: rnorm,
+            });
+            return false;
+        }
+        if rnorm >= STALL_REDUCTION * self.prev_rnorm {
+            self.stall += 1;
+            if self.stall >= ti.stall_window {
+                self.failure = Some(SolveError::NewtonStalled {
+                    iters: self.stats.newton_iters,
+                    r_final: rnorm,
+                });
+                return false;
+            }
+        } else {
+            self.stall = 0;
+        }
+        self.prev_rnorm = rnorm;
+        true
+    }
+
+    /// Charge a factorization's `secs` to `t_factor` — failed or not — and
+    /// map a zero pivot `(block, row)` to [`SolveError::SingularJacobian`].
+    /// True iff the factor succeeded.
+    pub(crate) fn check_factor(&mut self, secs: f64, factored: Result<(), (usize, usize)>) -> bool {
+        self.stats.t_factor += secs;
+        match factored {
+            Ok(()) => true,
+            Err((block, row)) => {
+                self.failure = Some(SolveError::SingularJacobian { block, row });
+                false
+            }
+        }
+    }
+
+    /// Reject a Newton update `J⁻¹R` holding a NaN/Inf. True iff finite.
+    pub(crate) fn check_update(&mut self, d: &[f64]) -> bool {
+        if all_finite(d) {
+            return true;
+        }
+        self.failure = Some(SolveError::NonFinite {
+            site: NonFiniteSite::Solution,
+        });
+        false
+    }
+
+    /// Step epilogue, once the guard is decided: run the conservation
+    /// monitor on a converged step, restore `state` to `f^n` bitwise on
+    /// any failure, and stamp `t_total`.
+    pub(crate) fn finish(
+        mut self,
+        ti: &mut TimeIntegrator,
+        state: &mut [f64],
+        dt: f64,
+        e_field: f64,
+        source: Option<&[f64]>,
+    ) -> (StepStats, Option<SolveError>) {
+        debug_assert!(!self.is_live(), "finish needs a decided guard");
+        if self.failure.is_none() {
+            // Invariant watchdog: read-only over (f^n, f^{n+1}, R), so a
+            // Record-mode monitor leaves the state bitwise untouched; a
+            // Fail-mode violation routes into the transactional restore
+            // below like any other solve failure.
+            if let Some(mut mon) = ti.monitor.take() {
+                let checked = mon.after_step(
+                    &ti.op,
+                    &ti.moments,
+                    &StepContext {
+                        f_old: &self.fn_old,
+                        f_new: state,
+                        dt,
+                        theta: self.theta,
+                        e_field,
+                        source,
+                        residual: &self.r,
+                    },
+                );
+                ti.monitor = Some(mon);
+                if let Err(e) = checked {
+                    self.failure = Some(e);
+                }
+            }
+        }
+        if self.failure.is_some() && !self.fn_old.is_empty() {
+            // Transactional guarantee: a failed step leaves state == f^n
+            // bitwise.
+            state.copy_from_slice(&self.fn_old);
+        }
+        self.stats.t_total = self.t_start.elapsed().as_secs_f64();
+        (self.stats, self.failure)
     }
 }
 
@@ -456,11 +683,7 @@ impl TimeIntegrator {
         e_field: f64,
         source: Option<&[f64]>,
     ) -> Result<StepStats, SolveError> {
-        let (stats, failure) = self.step_guarded(state, dt, e_field, source, 0);
-        match failure {
-            None => Ok(stats),
-            Some(e) => Err(e),
-        }
+        self.try_step_damped(state, dt, e_field, source, 0)
     }
 
     /// [`Self::try_step`] with backtracking line-search damping: each
@@ -496,102 +719,33 @@ impl TimeIntegrator {
         backtracks: usize,
     ) -> (StepStats, Option<SolveError>) {
         let _sp = landau_obs::span(landau_obs::names::STEP);
-        let t_start = Instant::now();
-        let theta = self.method.theta();
         let n_total = self.op.n_total();
         assert_eq!(state.len(), n_total);
-        let mut stats = StepStats {
-            converged: false,
-            ..Default::default()
-        };
-        if !all_finite(state) {
-            stats.t_total = t_start.elapsed().as_secs_f64();
-            return (
-                stats,
-                Some(SolveError::NonFinite {
-                    site: NonFiniteSite::State,
-                }),
-            );
-        }
-        let fn_old = state.to_vec();
-
-        // Explicit part for θ < 1: rhs_old = L(f^n) f^n + M s.
-        let rhs_old: Option<Vec<f64>> = if theta < 1.0 {
-            let t0 = Instant::now();
-            let mut r = self.op.collision_rhs(&fn_old, e_field);
-            stats.t_landau += t0.elapsed().as_secs_f64();
-            if let Some(s) = source {
-                let n = self.op.n();
-                for a in 0..self.op.species.len() {
-                    let ms = self.op.mass.matvec(&s[a * n..(a + 1) * n]);
-                    for i in 0..n {
-                        r[a * n + i] += ms[i];
-                    }
-                }
-            }
-            Some(r)
-        } else {
-            None
-        };
-
-        let mut r = vec![0.0; n_total];
-        let mut r0_norm = None;
-        let mut prev_rnorm = f64::INFINITY;
-        let mut stall = 0usize;
-        let mut failure = None;
-        for _it in 0..self.max_newton {
+        let mut guard = NewtonGuard::begin(self, state, e_field, source);
+        let theta = guard.theta;
+        while guard.next_iteration(self) {
             let _sp_iter = landau_obs::span(landau_obs::names::NEWTON_ITER);
             // Assemble L(f_k) — recomputed every iteration (quasi-Newton).
             let t0 = Instant::now();
             let assembled = self.op.assemble(state, e_field);
-            stats.t_landau += t0.elapsed().as_secs_f64();
+            guard.stats.t_landau += t0.elapsed().as_secs_f64();
 
             let sp_res = landau_obs::span(landau_obs::names::RESIDUAL);
             self.residual(
                 &assembled.mats,
                 state,
-                &fn_old,
+                &guard.fn_old,
                 source,
-                rhs_old.as_deref(),
+                guard.rhs_old.as_deref(),
                 dt,
                 theta,
-                &mut r,
+                &mut guard.r,
             );
-            let rnorm = vecops::norm2(&r);
+            let rnorm = vecops::norm2(&guard.r);
             drop(sp_res);
-            stats.residual = rnorm;
-            if !rnorm.is_finite() {
-                failure = Some(SolveError::NonFinite {
-                    site: NonFiniteSite::Residual,
-                });
+            if !guard.check_residual(self, rnorm) {
                 break;
             }
-            let r0 = *r0_norm.get_or_insert(rnorm);
-            if rnorm <= self.atol + self.rtol * r0 {
-                stats.converged = true;
-                break;
-            }
-            if rnorm > self.divergence_ratio * r0 {
-                failure = Some(SolveError::NewtonDiverged {
-                    iters: stats.newton_iters,
-                    r0,
-                    r_final: rnorm,
-                });
-                break;
-            }
-            if rnorm >= STALL_REDUCTION * prev_rnorm {
-                stall += 1;
-                if stall >= self.stall_window {
-                    failure = Some(SolveError::NewtonStalled {
-                        iters: stats.newton_iters,
-                        r_final: rnorm,
-                    });
-                    break;
-                }
-            } else {
-                stall = 0;
-            }
-            prev_rnorm = rnorm;
 
             // J = M − Δt θ L(f_k); factor per species block in parallel.
             let sp_factor = landau_obs::span(landau_obs::names::FACTOR);
@@ -604,27 +758,23 @@ impl TimeIntegrator {
                     solver.poison_block(f.index);
                 }
             }
-            if let Err((block, row)) = solver.factor() {
-                failure = Some(SolveError::SingularJacobian { block, row });
+            let factored = solver.factor();
+            if !guard.check_factor(t1.elapsed().as_secs_f64(), factored) {
                 break;
             }
-            stats.t_factor += t1.elapsed().as_secs_f64();
             drop(sp_factor);
 
             let sp_solve = landau_obs::span(landau_obs::names::SOLVE);
             let t2 = Instant::now();
-            let mut delta = self.permute(&r);
+            let mut delta = self.permute(&guard.r);
             solver.solve_into(&mut delta);
-            stats.t_solve += t2.elapsed().as_secs_f64();
+            guard.stats.t_solve += t2.elapsed().as_secs_f64();
             drop(sp_solve);
 
             // f ← f − λ J⁻¹ R.
             let mut d = vec![0.0; n_total];
             self.unpermute_into(&delta, &mut d);
-            if !all_finite(&d) {
-                failure = Some(SolveError::NonFinite {
-                    site: NonFiniteSite::Solution,
-                });
+            if !guard.check_update(&d) {
                 break;
             }
             let mut lambda = 1.0;
@@ -642,13 +792,13 @@ impl TimeIntegrator {
                     if all_finite(&cand) {
                         let t0 = Instant::now();
                         let trial = self.op.assemble(&cand, e_field);
-                        stats.t_landau += t0.elapsed().as_secs_f64();
+                        guard.stats.t_landau += t0.elapsed().as_secs_f64();
                         self.residual(
                             &trial.mats,
                             &cand,
-                            &fn_old,
+                            &guard.fn_old,
                             source,
-                            rhs_old.as_deref(),
+                            guard.rhs_old.as_deref(),
                             dt,
                             theta,
                             &mut rt,
@@ -664,58 +814,9 @@ impl TimeIntegrator {
                 }
             }
             vecops::axpy(-lambda, &d, state);
-            stats.newton_iters += 1;
+            guard.stats.newton_iters += 1;
         }
-        if failure.is_none() && !stats.converged {
-            // Newton budget exhausted: classify by whether the residual
-            // ever contracted relative to its starting norm.
-            let r_final = stats.residual;
-            let r0 = r0_norm.unwrap_or(r_final);
-            failure = Some(if r_final >= r0 {
-                SolveError::NewtonDiverged {
-                    iters: stats.newton_iters,
-                    r0,
-                    r_final,
-                }
-            } else {
-                SolveError::NewtonStalled {
-                    iters: stats.newton_iters,
-                    r_final,
-                }
-            });
-        }
-        if failure.is_none() && stats.converged {
-            // Invariant watchdog: read-only over (f^n, f^{n+1}, R), so a
-            // Record-mode monitor leaves the state bitwise untouched; a
-            // Fail-mode violation routes into the transactional restore
-            // below like any other solve failure.
-            if let Some(mut mon) = self.monitor.take() {
-                let checked = mon.after_step(
-                    &self.op,
-                    &self.moments,
-                    &StepContext {
-                        f_old: &fn_old,
-                        f_new: state,
-                        dt,
-                        theta,
-                        e_field,
-                        source,
-                        residual: &r,
-                    },
-                );
-                self.monitor = Some(mon);
-                if let Err(e) = checked {
-                    failure = Some(e);
-                }
-            }
-        }
-        if failure.is_some() {
-            // Transactional guarantee: a failed step leaves state == f^n
-            // bitwise.
-            state.copy_from_slice(&fn_old);
-        }
-        stats.t_total = t_start.elapsed().as_secs_f64();
-        (stats, failure)
+        guard.finish(self, state, dt, e_field, source)
     }
 
     /// Run `nsteps` fixed steps, calling `each` after every step with
@@ -890,6 +991,67 @@ mod tests {
             .fold(0.0, f64::max);
         let scale = s1.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!(d < 0.05 * scale, "methods diverged: {d} vs {scale}");
+    }
+
+    /// The guard's decision boundaries, which both orchestrators share.
+    #[test]
+    fn newton_guard_ladder_boundaries() {
+        let mut ti = integrator(1.0);
+        (ti.atol, ti.rtol, ti.divergence_ratio, ti.stall_window) = (1e-3, 1e-2, 10.0, 3);
+        let state = ti.op.initial_state();
+        let fresh = |ti: &mut TimeIntegrator| NewtonGuard::begin(ti, &state, 0.0, None);
+        // Feed residual norms; true while every check lets the iteration on.
+        let feed = |g: &mut NewtonGuard, ti: &TimeIntegrator, rs: &[f64]| {
+            rs.iter()
+                .all(|&r| g.next_iteration(ti) && g.check_residual(ti, r))
+        };
+
+        // Converged at exactly atol + rtol·r0, not one ulp above it.
+        let tol = ti.atol + ti.rtol * 2.0;
+        let mut g = fresh(&mut ti);
+        assert!(feed(&mut g, &ti, &[2.0, tol.next_up()]));
+        assert!(!feed(&mut g, &ti, &[tol]));
+        assert!(g.stats.converged && g.failure.is_none());
+
+        // Diverged just above divergence_ratio·r0, not at it.
+        let mut g = fresh(&mut ti);
+        assert!(feed(&mut g, &ti, &[1.0, 10.0]));
+        assert!(!feed(&mut g, &ti, &[10.0f64.next_up()]));
+        assert!(matches!(
+            g.failure,
+            Some(SolveError::NewtonDiverged { r0: 1.0, .. })
+        ));
+        assert!(
+            !g.next_iteration(&ti),
+            "a decided guard enters no iteration"
+        );
+
+        // A contracting step resets the stall counter; it fires at
+        // stall_window consecutive non-contracting steps.
+        let mut g = fresh(&mut ti);
+        assert!(feed(&mut g, &ti, &[1.0, 1.0, 1.0, 0.5, 0.5, 0.5]));
+        assert!(!feed(&mut g, &ti, &[0.5]));
+        assert!(matches!(
+            g.failure,
+            Some(SolveError::NewtonStalled { r_final: 0.5, .. })
+        ));
+
+        // Budget out: diverged iff r_final ≥ r0, stalled otherwise.
+        ti.max_newton = 2;
+        for (r_final, diverged) in [(1.5, true), (1.0, true), (0.9, false)] {
+            let mut g = fresh(&mut ti);
+            assert!(feed(&mut g, &ti, &[1.0, r_final]));
+            assert!(!g.next_iteration(&ti));
+            match g.failure {
+                Some(SolveError::NewtonDiverged { r0, r_final: r, .. }) => {
+                    assert!(diverged && r0 == 1.0 && r == r_final)
+                }
+                Some(SolveError::NewtonStalled { r_final: r, .. }) => {
+                    assert!(!diverged && r == r_final)
+                }
+                other => panic!("budget out with r_final {r_final}: {other:?}"),
+            }
+        }
     }
 
     #[test]

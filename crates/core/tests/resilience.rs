@@ -99,6 +99,21 @@ fn singular_block_is_detected_attributed_and_rolled_back() {
 }
 
 #[test]
+fn failed_factor_time_is_charged_to_t_factor() {
+    let mut ti = make_ti();
+    let mut state = ti.op.initial_state();
+    ti.op.device.arm_faults(FaultPlan::seeded(11).with(
+        SITE_LU_FACTOR,
+        0,
+        FaultKind::SingularBlock,
+    ));
+    let s = ti.step(&mut state, 0.3, 0.1, None);
+    ti.op.device.disarm_faults();
+    assert!(!s.converged);
+    assert!(s.t_factor > 0.0, "the failed factor's time must be charged");
+}
+
+#[test]
 fn perturb_fault_triggers_divergence_guard() {
     let mut ti = make_ti();
     let mut state = ti.op.initial_state();

@@ -8,8 +8,8 @@
 
 use landau_core::ipdata::IpData;
 use landau_core::kernels::{
-    inner_integral_cpu, inner_integral_cpu_cached, inner_integral_cuda_model,
-    inner_integral_cuda_model_cached, inner_integral_kokkos_cached, inner_integral_kokkos_model,
+    inner_integral_batched_cuda_cached, inner_integral_batched_kokkos_cached, inner_integral_cpu,
+    inner_integral_cpu_cached, inner_integral_cuda_model, inner_integral_kokkos_model,
 };
 use landau_core::solver::{ThetaMethod, TimeIntegrator};
 use landau_core::tensor_cache::DEFAULT_BUDGET_BYTES;
@@ -64,8 +64,9 @@ fn cached_matches_uncached_across_backends_and_budgets() {
         let (kk, _) = inner_integral_kokkos_model(&ip, &sl, 8);
         for table in [&full, &recompute] {
             let (c_cpu, _) = inner_integral_cpu_cached(&ip, &sl, table);
-            let (c_cuda, _) = inner_integral_cuda_model_cached(&ip, &sl, 16, table);
-            let (c_kk, _) = inner_integral_kokkos_cached(&ip, &sl, 8, table, &PlainFactory);
+            let (c_cuda, _) = inner_integral_batched_cuda_cached(&[&ip], &[true], &sl, 16, table);
+            let (c_kk, _) =
+                inner_integral_batched_kokkos_cached(&[&ip], &[true], &sl, 8, table, &PlainFactory);
             let mode = table.mode();
             prop_assert!(
                 case,
@@ -76,17 +77,17 @@ fn cached_matches_uncached_across_backends_and_budgets() {
             );
             prop_assert!(
                 case,
-                cuda.max_rel_diff(&c_cuda) <= 1e-14,
+                cuda.max_rel_diff(&c_cuda[0]) <= 1e-14,
                 "cuda {:?}: {}",
                 mode,
-                cuda.max_rel_diff(&c_cuda)
+                cuda.max_rel_diff(&c_cuda[0])
             );
             prop_assert!(
                 case,
-                kk.max_rel_diff(&c_kk) <= 1e-14,
+                kk.max_rel_diff(&c_kk[0]) <= 1e-14,
                 "kokkos {:?}: {}",
                 mode,
-                kk.max_rel_diff(&c_kk)
+                kk.max_rel_diff(&c_kk[0])
             );
         }
     });

@@ -115,12 +115,6 @@ impl Csr {
         self.vals[k] += v;
     }
 
-    /// View the values as atomics for concurrent device-style assembly
-    /// ("fetch-and-add" contention resolution, §III-F of the paper).
-    pub fn atomic_vals(&mut self) -> &[AtomicF64] {
-        AtomicF64::cast_slice_mut(&mut self.vals)
-    }
-
     /// Split borrow for concurrent assembly: the (read-only) pattern plus an
     /// atomic view of the values, usable simultaneously across threads.
     pub fn atomic_view(&mut self) -> (&[usize], &[usize], &[AtomicF64]) {
@@ -150,17 +144,6 @@ impl Csr {
                 s += self.vals[k] * x[self.col_idx[k]];
             }
             *yi = s;
-        }
-    }
-
-    /// `y += a * A x`.
-    pub fn matvec_add_scaled(&self, a: f64, x: &[f64], y: &mut [f64]) {
-        for (i, yi) in y.iter_mut().enumerate().take(self.n_rows) {
-            let mut s = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                s += self.vals[k] * x[self.col_idx[k]];
-            }
-            *yi += a * s;
         }
     }
 

@@ -17,7 +17,7 @@
 //! * [`batched`] — the sequel paper's batched banded LU: many equally-sized
 //!   bands in a lane-minor SoA layout, factored and solved in lockstep
 //!   with a per-lane active mask, bitwise-equal to [`band`] per lane.
-//! * [`vecops`] — the handful of BLAS-1 operations the time integrator uses.
+//! * [`vecops`] — the two BLAS-1 operations the time integrator uses.
 //! * [`atomic`] — an `AtomicF64` add used by the device-style assembly.
 //! * [`checked`] (feature `checked`, on by default) — an ownership map
 //!   that validates the element-coloring contract during scatter.
@@ -29,7 +29,6 @@ pub mod batched;
 pub mod checked;
 pub mod coo;
 pub mod csr;
-pub mod iterative;
 pub mod rcm;
 pub mod vecops;
 

@@ -10,36 +10,9 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `w ← a x + y` (PETSc `VecWAXPY`).
-pub fn waxpy(w: &mut [f64], a: f64, x: &[f64], y: &[f64]) {
-    assert_eq!(x.len(), y.len());
-    assert_eq!(w.len(), y.len());
-    for i in 0..w.len() {
-        w[i] = a * x[i] + y[i];
-    }
-}
-
-/// Dot product.
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
-}
-
 /// Euclidean norm.
 pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
-/// Max norm.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, v| m.max(v.abs()))
-}
-
-/// `x ← a x`.
-pub fn scale(a: f64, x: &mut [f64]) {
-    for v in x {
-        *v *= a;
-    }
+    x.iter().map(|v| v * v).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]
@@ -47,23 +20,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn axpy_waxpy_dot() {
+    fn axpy_and_norm2() {
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![1.0, 1.0, 1.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![3.0, 5.0, 7.0]);
-        let mut w = vec![0.0; 3];
-        waxpy(&mut w, -1.0, &x, &y);
-        assert_eq!(w, vec![2.0, 3.0, 4.0]);
-        assert_eq!(dot(&x, &x), 14.0);
         assert!((norm2(&x) - 14.0f64.sqrt()).abs() < 1e-15);
-        assert_eq!(norm_inf(&w), 4.0);
-    }
-
-    #[test]
-    fn scale_in_place() {
-        let mut x = vec![2.0, -4.0];
-        scale(0.5, &mut x);
-        assert_eq!(x, vec![1.0, -2.0]);
     }
 }
