@@ -6,7 +6,6 @@
 //! implementation. See `EXPERIMENTS.md` for the paper-vs-measured record.
 
 use landau_core::operator::{AssemblyPath, Backend, LandauOperator};
-use landau_core::solver::{ThetaMethod, TimeIntegrator};
 use landau_core::species::SpeciesList;
 use landau_fem::FemSpace;
 use landau_hwsim::IterationProfile;
@@ -39,7 +38,14 @@ pub fn perf_operator(ne_target: usize, backend: Backend) -> LandauOperator {
     }
     let space = FemSpace::new(spec.build(), 3);
     let mut op = LandauOperator::new(space, sl, backend);
-    op.assembly = AssemblyPath::Atomic; // the GPU assembly path
+    // The GPU models take the released GPU assembly path, whose atomic
+    // counts Tables 2–8 model. The CPU backend keeps the operator's
+    // `SetValues` scatter (the paper's CPU path): parallel over species and
+    // deterministic, where f64 atomic adds from several pool threads would
+    // make the Jacobian's bits depend on thread timing.
+    if backend != Backend::Cpu {
+        op.assembly = AssemblyPath::Atomic;
+    }
     op
 }
 
@@ -79,20 +85,6 @@ pub fn measured_profile(op: &mut LandauOperator) -> IterationProfile {
         solve_flops: (s * 12 * n * bw) as u64,
         host_flops: (s * n * 2000) as u64,
     }
-}
-
-/// A short real solver run measuring Newton iterations per time step (the
-/// multiplier between time steps and the throughput tables' iterations).
-pub fn measure_newton_per_step(op: LandauOperator, steps: usize, dt: f64) -> f64 {
-    let mut ti = TimeIntegrator::new(op, ThetaMethod::BackwardEuler);
-    ti.rtol = 1e-8;
-    let mut state = ti.op.initial_state();
-    let mut iters = 0usize;
-    for _ in 0..steps {
-        let s = ti.step(&mut state, dt, 0.0, None);
-        iters += s.newton_iters;
-    }
-    iters as f64 / steps as f64
 }
 
 /// The workspace root (bench mains may run with the package directory as
@@ -148,6 +140,20 @@ mod tests {
         let ne = op.space.n_elements();
         assert!((50..140).contains(&ne), "expected ~80 elements, got {ne}");
         assert_eq!(op.space.tab.nq, 16);
+    }
+
+    #[test]
+    fn cpu_perf_operator_assembles_bitwise_reproducibly() {
+        let mut op = perf_operator(80, Backend::Cpu);
+        assert_ne!(op.assembly, AssemblyPath::Atomic);
+        let state = op.initial_state();
+        let a = op.assemble(&state, 0.0);
+        let b = op.assemble(&state, 0.0);
+        for (ma, mb) in a.mats.iter().zip(&b.mats) {
+            let bits =
+                |m: &landau_sparse::Csr| m.vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ma), bits(mb));
+        }
     }
 
     #[test]

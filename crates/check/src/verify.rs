@@ -37,7 +37,6 @@
 //! [`PolicyFamily`]: landau_core::PolicyFamily
 
 use landau_core::registry::{KernelEntry, KernelRegistry, VerifyInput};
-use landau_vgpu::checked::{Finding, RaceKind};
 use landau_vgpu::kokkos::TeamPolicy;
 use landau_vgpu::spec::GpuSpec;
 use landau_vgpu::symbolic::{AccessKind, AffinePattern, BlockLog, SymbolicCtx, SYM_EVENT_CAP};
@@ -145,6 +144,182 @@ impl ProofCounts {
     }
 }
 
+/// The kind of cross-lane scratch conflict.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RaceKind {
+    /// Two lanes wrote one cell in the same epoch.
+    WriteWrite,
+    /// One lane read a cell another lane wrote in the same epoch.
+    ReadWrite,
+}
+
+impl fmt::Display for RaceKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RaceKind::WriteWrite => write!(f, "write-write"),
+            RaceKind::ReadWrite => write!(f, "read-write"),
+        }
+    }
+}
+
+/// One defect the verifier detected in a block's symbolic log.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Finding {
+    /// Cross-lane scratch conflict without an intervening barrier.
+    ScratchRace {
+        /// Block in which the conflict occurred.
+        league_rank: usize,
+        /// Scratch cell index.
+        idx: usize,
+        /// A lane that accessed the cell earlier in the epoch.
+        first_lane: usize,
+        /// The lane whose access conflicted.
+        second_lane: usize,
+        /// Conflict kind.
+        kind: RaceKind,
+    },
+    /// Cumulative scratch allocation exceeded the spec's per-block capacity.
+    ScratchOverflow {
+        /// Block that over-allocated.
+        league_rank: usize,
+        /// Bytes in use after the offending allocation.
+        in_use: u64,
+        /// Per-block capacity of the active spec.
+        capacity: u64,
+    },
+    /// `team_size × vector_length` exceeds the spec's thread limit.
+    LaunchOverflow {
+        /// Threads the policy asks for.
+        threads: usize,
+        /// The spec's per-block maximum.
+        max: usize,
+    },
+    /// A conditional barrier was not reached by every lane.
+    BarrierDivergence {
+        /// Block in which the divergence occurred.
+        league_rank: usize,
+        /// Lanes that arrived at the barrier.
+        arriving: usize,
+        /// Lanes in the vector dimension.
+        lanes: usize,
+    },
+    /// Permuting the lane-join order moved the reduction result beyond
+    /// rounding tolerance.
+    NondeterministicReduce {
+        /// Block in which the reduction ran.
+        league_rank: usize,
+        /// Observed |tree − permuted| distance.
+        dist: f64,
+        /// The tolerance it exceeded.
+        tol: f64,
+    },
+    /// A scratch access indexed past the end of its buffer (the static
+    /// verifier reports this instead of letting the symbolic run abort).
+    ScratchOutOfBounds {
+        /// Block in which the access occurred.
+        league_rank: usize,
+        /// The accessing lane.
+        lane: usize,
+        /// The out-of-range index.
+        idx: usize,
+        /// The buffer's length in f64 slots.
+        len: usize,
+    },
+    /// A kernel's observed scratch allocation disagreed with the budget
+    /// its registry entry declares (hand-written lengths drift from the
+    /// budget closure and defeat the capacity proof).
+    BudgetMismatch {
+        /// Block whose allocation was measured.
+        league_rank: usize,
+        /// Slots the registered budget closure declares.
+        declared: usize,
+        /// Slots the kernel actually allocated.
+        observed: usize,
+    },
+    /// The static verifier could not discharge a proof obligation (index
+    /// pattern outside the affine/widened/enumerated domain, or the access
+    /// log was truncated). Not a defect per se, but the kernel is not
+    /// *proved* and must not be reported clean.
+    Unproved {
+        /// Block whose proof failed.
+        league_rank: usize,
+        /// What the verifier could not establish.
+        reason: String,
+    },
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Finding::ScratchRace {
+                league_rank,
+                idx,
+                first_lane,
+                second_lane,
+                kind,
+            } => write!(
+                f,
+                "{kind} race on scratch[{idx}] in block {league_rank}: lanes {first_lane} \
+                 and {second_lane} without an intervening barrier"
+            ),
+            Finding::ScratchOverflow {
+                league_rank,
+                in_use,
+                capacity,
+            } => write!(
+                f,
+                "scratch over-allocation in block {league_rank}: {in_use} B in use, \
+                 {capacity} B per block available"
+            ),
+            Finding::LaunchOverflow { threads, max } => write!(
+                f,
+                "launch config of {threads} threads/block exceeds the device limit of {max}"
+            ),
+            Finding::BarrierDivergence {
+                league_rank,
+                arriving,
+                lanes,
+            } => write!(
+                f,
+                "barrier divergence in block {league_rank}: {arriving} of {lanes} lanes \
+                 arrive at the barrier"
+            ),
+            Finding::NondeterministicReduce {
+                league_rank,
+                dist,
+                tol,
+            } => write!(
+                f,
+                "nondeterministic reduction in block {league_rank}: permuting the lane \
+                 join order moved the result by {dist:.3e} (tolerance {tol:.3e})"
+            ),
+            Finding::ScratchOutOfBounds {
+                league_rank,
+                lane,
+                idx,
+                len,
+            } => write!(
+                f,
+                "out-of-bounds scratch access in block {league_rank}: lane {lane} \
+                 indexes scratch[{idx}] of a {len}-slot buffer"
+            ),
+            Finding::BudgetMismatch {
+                league_rank,
+                declared,
+                observed,
+            } => write!(
+                f,
+                "scratch budget mismatch in block {league_rank}: registry declares \
+                 {declared} slots, kernel allocated {observed}"
+            ),
+            Finding::Unproved {
+                league_rank,
+                reason,
+            } => write!(f, "unproved obligation in block {league_rank}: {reason}"),
+        }
+    }
+}
+
 /// One verifier finding, attributed to a kernel and launch configuration.
 #[derive(Clone, Debug)]
 pub struct VerifyFinding {
@@ -156,7 +331,7 @@ pub struct VerifyFinding {
     pub vector_length: usize,
     /// The device spec it applies to (capacity/launch rules only).
     pub spec: Option<&'static str>,
-    /// The underlying detail, reusing the checked-mode finding type.
+    /// The underlying detail.
     pub finding: Finding,
     /// Times the (deduplicated) finding recurred across blocks/policies.
     pub occurrences: usize,
@@ -483,7 +658,6 @@ fn canon(f: &Finding) -> Finding {
     match &mut f {
         Finding::ScratchRace { league_rank, .. }
         | Finding::ScratchOverflow { league_rank, .. }
-        | Finding::ReduceDivergence { league_rank, .. }
         | Finding::BarrierDivergence { league_rank, .. }
         | Finding::NondeterministicReduce { league_rank, .. }
         | Finding::ScratchOutOfBounds { league_rank, .. }

@@ -1,10 +1,15 @@
 //! Integration tests for the static kernel verifier: the production
-//! registry must prove clean, and every seeded corpus defect must be
-//! flagged with its expected rule.
+//! registry must prove clean, every seeded corpus defect must be flagged
+//! with its expected rule, and symbolic execution must leave a kernel's
+//! results bitwise unchanged.
 
 use landau_check::corpus::{corpus, run_corpus_kernel};
-use landau_check::verify::{verify_registry, VerifyRule};
+use landau_check::verify::{analyze_block, verify_registry, VerifyRule};
+use landau_core::kernels::{
+    inner_integral_kokkos_model, inner_integral_kokkos_with, staging_scratch_budget,
+};
 use landau_core::registry::{KernelRegistry, VerifyInput};
+use landau_vgpu::SymbolicCtx;
 
 #[test]
 fn production_kernels_prove_clean_over_the_policy_family() {
@@ -86,4 +91,28 @@ fn clean_control_stays_clean() {
     let bf = run_corpus_kernel(control);
     assert!(bf.findings.is_empty(), "{:?}", bf.findings);
     assert!(bf.proofs.total() > 0, "control must discharge obligations");
+}
+
+#[test]
+fn symbolic_execution_matches_plain_launch_bitwise() {
+    // Logging every scratch access must not perturb the kernel: the staged
+    // Kokkos kernel run under the symbolic factory returns the plain
+    // launch's coefficients bit for bit, and its logs analyze clean.
+    let input = VerifyInput::representative();
+    let dims = input.dims();
+    for vl in [1usize, 8, 16] {
+        let ctx = SymbolicCtx::new();
+        let (logged, t) = inner_integral_kokkos_with(&input.ip, &input.species, vl, &ctx);
+        let (plain, _) = inner_integral_kokkos_model(&input.ip, &input.species, vl);
+        assert_eq!(logged.max_rel_diff(&plain), 0.0, "vl={vl}");
+        assert!(t.flops > 0);
+        let logs = ctx.take_logs();
+        assert!(!logs.is_empty(), "vl={vl}: no blocks logged");
+        for log in &logs {
+            let budget = staging_scratch_budget(&dims, &log.policy);
+            let bf = analyze_block(log, Some(budget));
+            assert!(bf.findings.is_empty(), "vl={vl}: {:?}", bf.findings);
+            assert!(bf.proofs.total() > 0, "vl={vl}: no obligations discharged");
+        }
+    }
 }

@@ -45,10 +45,13 @@ pub enum BatchMode {
     /// own assemble/factor/solve pipeline to completion.
     HostLoop,
     /// One fused batched launch per pipeline stage across all vertices,
-    /// with a per-vertex active mask (the default). Falls back to
-    /// [`BatchMode::HostLoop`] if the shared tensor cache is disabled.
+    /// with a per-vertex active mask (the default).
     Fused,
 }
+
+/// Consecutive fused macro steps a lane may need recovery on before the
+/// ladder demotes it to the host rung.
+const DEMOTE_AFTER: u32 = 2;
 
 /// Execution rung of one vertex lane in the graceful-degradation ladder.
 ///
@@ -105,9 +108,6 @@ pub struct BatchedAdvance {
     lane_bad_streak: Vec<u32>,
     /// Whether the checkpoint-rollback rung has been consumed.
     lane_rolled_back: Vec<bool>,
-    /// Recovered-step streak length that demotes a fused lane to the host
-    /// rung.
-    demote_after: u32,
     /// Stats merged across every advance (and across resumes).
     cumulative: BatchStats,
     /// Macro steps completed over the batch's lifetime (checkpoint clock).
@@ -193,17 +193,11 @@ impl BatchStats {
             .filter(|v| !v.failed)
             .map(|v| v.newton_iters)
             .sum();
-        BatchStats {
+        let mut stats = BatchStats {
             newton_iters: iters,
             productive_newton_iters: productive,
             seconds,
-            // 0/0 must read as idle, not NaN (zero-iteration runs feed
-            // throughput tables downstream).
-            newton_per_sec: if productive == 0 || seconds <= 0.0 {
-                0.0
-            } else {
-                productive as f64 / seconds
-            },
+            newton_per_sec: 0.0,
             failed: per_vertex.iter().filter(|v| v.failed).count(),
             retried: per_vertex.iter().map(|v| v.retried).sum(),
             dt_fraction_min: per_vertex
@@ -214,13 +208,27 @@ impl BatchStats {
             active_lane_sum: counters.active_lane_sum,
             lockstep_retired: counters.retired,
             newton_rounds: counters.newton_rounds,
-            retired_per_newton: if counters.newton_rounds == 0 {
-                0.0
-            } else {
-                counters.retired as f64 / counters.newton_rounds as f64
-            },
+            retired_per_newton: 0.0,
             per_vertex,
-        }
+        };
+        stats.derive_ratios();
+        stats
+    }
+
+    /// Recompute the derived ratios from the raw counters. `0/0` must read
+    /// as idle, not NaN: zero-iteration runs and empty resumed segments
+    /// feed throughput tables downstream.
+    fn derive_ratios(&mut self) {
+        self.newton_per_sec = if self.productive_newton_iters == 0 || self.seconds <= 0.0 {
+            0.0
+        } else {
+            self.productive_newton_iters as f64 / self.seconds
+        };
+        self.retired_per_newton = if self.newton_rounds == 0 {
+            0.0
+        } else {
+            self.lockstep_retired as f64 / self.newton_rounds as f64
+        };
     }
 
     /// An empty accumulator for [`BatchStats::merge`] — the identity
@@ -259,16 +267,7 @@ impl BatchStats {
             a.failed |= b.failed;
         }
         self.failed = self.per_vertex.iter().filter(|v| v.failed).count();
-        self.newton_per_sec = if self.productive_newton_iters == 0 || self.seconds <= 0.0 {
-            0.0
-        } else {
-            self.productive_newton_iters as f64 / self.seconds
-        };
-        self.retired_per_newton = if self.newton_rounds == 0 {
-            0.0
-        } else {
-            self.lockstep_retired as f64 / self.newton_rounds as f64
-        };
+        self.derive_ratios();
     }
 
     /// Publish this advance's aggregate into `reg` under `batch.*`:
@@ -351,7 +350,6 @@ impl BatchedAdvance {
             lane_modes: vec![LaneMode::Fused; n_vertices],
             lane_bad_streak: vec![0; n_vertices],
             lane_rolled_back: vec![false; n_vertices],
-            demote_after: 2,
             cumulative: BatchStats::accumulator(),
             macro_steps: 0,
             ckpt: None,
@@ -433,12 +431,6 @@ impl BatchedAdvance {
         self.steppers.is_empty()
     }
 
-    /// Heap bytes held by the fused pipeline's reusable workspace (0 until
-    /// the first fused advance builds it).
-    pub fn fused_workspace_bytes(&self) -> usize {
-        self.fused_ws.as_ref().map_or(0, |w| w.approx_heap_bytes())
-    }
-
     /// Advance every vertex by `steps` implicit steps of `dt` and measure
     /// aggregate throughput. In the default fused mode the whole fleet's
     /// Newton pipeline executes as one batched launch per stage; in host
@@ -448,12 +440,8 @@ impl BatchedAdvance {
     /// reported in [`BatchStats::failed`] instead of panicking the fleet.
     pub fn advance(&mut self, dt: f64, steps: usize, e_field: f64) -> BatchStats {
         let stats = match self.mode {
-            // The fused pipeline streams the shared table; without it,
-            // fall back to the reference loop.
-            BatchMode::Fused if self.tensor_table().is_some() => {
-                self.advance_fused(dt, steps, e_field)
-            }
-            _ => self.advance_host_loop(dt, steps, e_field),
+            BatchMode::Fused => self.advance_fused(dt, steps, e_field),
+            BatchMode::HostLoop => self.advance_host_loop(dt, steps, e_field),
         };
         stats.publish(&self.metrics);
         self.cumulative.merge(&stats);
@@ -478,12 +466,6 @@ impl BatchedAdvance {
     /// Current degradation-ladder rung of vertex `v`.
     pub fn lane_mode(&self, v: usize) -> LaneMode {
         self.lane_modes[v]
-    }
-
-    /// Recovered-step streak length that demotes a fused lane to the host
-    /// rung (default 2).
-    pub fn set_demote_after(&mut self, n: u32) {
-        self.demote_after = n.max(1);
     }
 
     /// The reference per-vertex loop (the pre-fusion behaviour, kept as
@@ -531,7 +513,6 @@ impl BatchedAdvance {
     fn advance_fused(&mut self, dt: f64, steps: usize, e_field: f64) -> BatchStats {
         let _sp = landau_obs::span(landau_obs::names::BATCH_ADVANCE);
         let t0 = Instant::now();
-        let demote_after = self.demote_after;
         let BatchedAdvance {
             steppers,
             states,
@@ -584,7 +565,7 @@ impl BatchedAdvance {
                         } else {
                             lane_bad_streak[v] += 1;
                             if lane_modes[v] == LaneMode::Fused
-                                && lane_bad_streak[v] >= demote_after
+                                && lane_bad_streak[v] >= DEMOTE_AFTER
                             {
                                 // Persistently recovering: stop burning
                                 // lockstep rounds on this lane.
@@ -856,15 +837,11 @@ impl BatchedAdvance {
             });
         }
         r.finish()?;
-        let cumulative = BatchStats {
+        let mut cumulative = BatchStats {
             newton_iters,
             productive_newton_iters: productive,
             seconds,
-            newton_per_sec: if productive == 0 || seconds <= 0.0 {
-                0.0
-            } else {
-                productive as f64 / seconds
-            },
+            newton_per_sec: 0.0,
             failed: per_vertex.iter().filter(|v| v.failed).count(),
             retried,
             dt_fraction_min,
@@ -872,13 +849,10 @@ impl BatchedAdvance {
             active_lane_sum,
             lockstep_retired,
             newton_rounds,
-            retired_per_newton: if newton_rounds == 0 {
-                0.0
-            } else {
-                lockstep_retired as f64 / newton_rounds as f64
-            },
+            retired_per_newton: 0.0,
             per_vertex,
         };
+        cumulative.derive_ratios();
         // All validated: commit.
         self.macro_steps = macro_steps;
         for v in 0..n {
@@ -1188,7 +1162,7 @@ mod tests {
 
         // The batched-factor site exists only on the fused path: a lane
         // whose batched factorization is persistently singular recovers
-        // through the host pipeline every step, so after `demote_after`
+        // through the host pipeline every step, so after `DEMOTE_AFTER`
         // retried steps the ladder moves it to the Host rung — where the
         // fault simply no longer fires.
         let mut b = BatchedAdvance::new(&space, &plasma(), Backend::Cpu, 3);

@@ -142,13 +142,6 @@ impl FusedWorkspace {
         }
     }
 
-    /// Approximate heap footprint (diagnostics).
-    pub(crate) fn approx_heap_bytes(&self) -> usize {
-        self.band.approx_heap_bytes()
-            + (self.x_soa.len() + self.slots.len() + self.origin.len()) * 8
-            + self.mats.len() * self.ns * self.mats[0][0].vals.len() * 8
-    }
-
     /// Write vertex `v`'s `ns` Jacobian blocks `M + neg_gamma · L_α` into
     /// the band lanes `dst .. dst+ns`, value-identical to `build_solver`'s
     /// `mass.clone() → axpy(−γ) → permute → band` chain. The caller must

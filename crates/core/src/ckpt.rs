@@ -673,10 +673,6 @@ impl CheckpointStore {
         self
     }
 
-    pub fn set_registry(&mut self, registry: Arc<MetricRegistry>) {
-        self.registry = Some(registry);
-    }
-
     fn gen_name(generation: u64) -> String {
         format!("ckpt-{generation:08}.bin")
     }

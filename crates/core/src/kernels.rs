@@ -31,7 +31,6 @@ use crate::tensor_cache::{
 use landau_fem::FemSpace;
 use landau_par::prelude::*;
 use landau_sparse::csr::{Csr, InsertMode};
-use landau_sparse::{OwnerMap, ScatterConflict};
 use landau_vgpu::kokkos::{PlainFactory, Team, TeamFactory, TeamPolicy};
 use landau_vgpu::symbolic::SymbolicCtx;
 use landau_vgpu::{cuda_strided_reduce, Tally};
@@ -280,7 +279,8 @@ pub fn inner_integral_kokkos_model(
 
 /// The Kokkos-model inner integral, generic over the [`TeamFactory`] so
 /// the identical kernel body runs under plain members *or* under the
-/// race/determinism-checking members of `landau_vgpu::checked`.
+/// access-logging members of `landau_vgpu::symbolic` that the static
+/// verifier analyzes.
 ///
 /// The element-local data (coordinates, weights, and the packed per-species
 /// field terms at the element's own integration points) is cooperatively
@@ -679,8 +679,8 @@ pub fn inner_integral_batched_cuda_cached(
 /// lane's output is bitwise equal to its one-lane launch, whose league is
 /// the elements. Unlike the uncached kernel no coordinate staging is
 /// needed — the table already encodes the test-point geometry. Generic
-/// over the [`TeamFactory`] so the checked/symbolic members can prove the
-/// batched geometry too.
+/// over the [`TeamFactory`] so the symbolic member can prove the batched
+/// geometry too.
 pub fn inner_integral_batched_kokkos_cached<F: TeamFactory>(
     ips: &[&IpData],
     active: &[bool],
@@ -901,77 +901,6 @@ pub fn assemble_colored(
             }
         }
     });
-}
-
-/// Graph-coloring assembly with the coloring contract *validated*: every
-/// value slot an element scatters into is claimed in an [`OwnerMap`], so
-/// two elements of one color batch touching the same slot surface as a
-/// [`ScatterConflict`] instead of a silently corrupted Jacobian.
-///
-/// On success the matrices hold exactly what [`assemble_colored`] produces
-/// (up to atomic-add association order) and the returned tally counts the
-/// scatter's atomic adds; on conflict the matrices are left partially
-/// assembled and must be re-assembled after fixing the coloring.
-pub fn assemble_colored_checked(
-    space: &FemSpace,
-    ns: usize,
-    ce: &[f64],
-    mats: &mut [Csr],
-    batches: &[Vec<usize>],
-) -> Result<Tally, ScatterConflict> {
-    let _sp = landau_obs::span(landau_obs::names::SCATTER);
-    let nb = space.tab.nb;
-    let block = ns * nb * nb;
-    assert_eq!(mats.len(), ns);
-    let mut tally = Tally::new();
-    for (a, m) in mats.iter_mut().enumerate() {
-        m.zero_entries();
-        let (row_ptr, col_idx, vals) = m.atomic_view();
-        let mut owners = OwnerMap::new(vals.len());
-        for color in batches {
-            // Different colors may touch the same slots; the contract is
-            // only *within* a batch.
-            owners.reset();
-            let n_atomics = color
-                .par_iter()
-                .map(|&e| -> Result<u64, ScatterConflict> {
-                    let el = &space.elements[e];
-                    let cea = &ce[e * block + a * nb * nb..e * block + (a + 1) * nb * nb];
-                    let mut count = 0u64;
-                    for (bi, ni) in el.nodes.iter().enumerate() {
-                        for (bj, nj) in el.nodes.iter().enumerate() {
-                            let v = cea[bi * nb + bj];
-                            if v == 0.0 {
-                                continue;
-                            }
-                            for &(di, wi) in &ni.terms {
-                                for &(dj, wj) in &nj.terms {
-                                    let lo = row_ptr[di];
-                                    let hi = row_ptr[di + 1];
-                                    let k = lo
-                                        + col_idx[lo..hi]
-                                            .binary_search(&dj)
-                                            .expect("entry in pattern");
-                                    owners.claim(k, e)?;
-                                    vals[k].fetch_add(wi * wj * v);
-                                    count += 1;
-                                }
-                            }
-                        }
-                    }
-                    Ok(count)
-                })
-                .reduce(
-                    || Ok(0u64),
-                    |x, y| match (x, y) {
-                        (Ok(a), Ok(b)) => Ok(a + b),
-                        (Err(e), _) | (_, Err(e)) => Err(e),
-                    },
-                )?;
-            tally.atomics += n_atomics;
-        }
-    }
-    Ok(tally)
 }
 
 /// Device assembly path (atomics, the released PETSc GPU approach):

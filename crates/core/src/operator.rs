@@ -167,11 +167,6 @@ impl LandauOperator {
         self.tensor_table.as_ref()
     }
 
-    /// Drop the geometry cache, returning to the uncached reference path.
-    pub fn clear_tensor_cache(&mut self) {
-        self.tensor_table = None;
-    }
-
     /// The shared CSR sparsity pattern (one species block). The fused
     /// batch orchestrator clones this once per lane for its reusable
     /// matrix workspace instead of calling `assemble` (which would

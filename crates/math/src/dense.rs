@@ -49,11 +49,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Mutable raw data (row-major).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Matrix–vector product `y = A x`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols);
@@ -90,11 +85,6 @@ impl DenseMatrix {
             }
         }
         out
-    }
-
-    /// Max-abs entry (for test tolerances).
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
     }
 }
 

@@ -66,16 +66,6 @@ pub fn ellip_ke(m: f64) -> KE {
     KE { k: big_k, e: big_e }
 }
 
-/// `K(k)` alone (same accuracy as [`ellip_ke`]).
-pub fn ellip_k(m: f64) -> f64 {
-    ellip_ke(m).k
-}
-
-/// `E(k)` alone (same accuracy as [`ellip_ke`]).
-pub fn ellip_e(m: f64) -> f64 {
-    ellip_ke(m).e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,14 +62,6 @@ impl TailDiagnostics {
     pub fn thresholds(&self) -> &[f64] {
         &self.thresholds
     }
-
-    /// Fast-tail fraction (relative to the species' total density).
-    pub fn tail_fraction(&self, state: &[f64], s: usize, total_density: f64) -> Vec<f64> {
-        self.tail_density(state, s)
-            .into_iter()
-            .map(|d| d / total_density)
-            .collect()
-    }
 }
 
 /// Z-asymmetry of a distribution: `∫ x_z f / (n ⟨|x|⟩)`-style measure used

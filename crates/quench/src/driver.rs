@@ -324,11 +324,6 @@ impl QuenchDriver {
         &self.stepper.ti
     }
 
-    /// Mutable access to the wrapped integrator.
-    pub fn ti_mut(&mut self) -> &mut TimeIntegrator {
-        &mut self.stepper.ti
-    }
-
     fn sample(&mut self, e: f64, quenching: bool) -> QuenchSample {
         let m = &self.stepper.ti.moments;
         let s = QuenchSample {

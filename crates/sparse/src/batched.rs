@@ -408,11 +408,6 @@ impl BatchedBandStorage {
     pub fn solve_flops(&self, n_active: usize) -> u64 {
         n_active as u64 * BandMatrix::solve_flops(self.n, self.lbw)
     }
-
-    /// Approximate heap footprint (for memory accounting).
-    pub fn approx_heap_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
-    }
 }
 
 #[cfg(test)]

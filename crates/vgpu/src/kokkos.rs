@@ -12,8 +12,9 @@
 //!
 //! Kernels are written against the [`Team`] trait and instantiated through
 //! a [`TeamFactory`], so the same kernel body runs under the plain
-//! [`TeamMember`] or under the race/determinism-checking member in
-//! [`crate::checked`] without modification.
+//! [`TeamMember`] or under the access-logging member in
+//! [`crate::symbolic`] that the static verifier analyzes, without
+//! modification.
 
 use crate::counters::Tally;
 use crate::spec::GpuSpec;
@@ -27,8 +28,8 @@ pub trait Reducer: Clone {
     fn join(&mut self, other: &Self);
 }
 
-/// A [`Reducer`] whose results can be *compared*, so the checked execution
-/// mode can verify that the pairwise tree join is insensitive to lane
+/// A [`Reducer`] whose results can be *compared*, so the static verifier
+/// can check that the pairwise tree join is insensitive to lane
 /// ordering (bitwise or within a small relative tolerance). A reducer whose
 /// `join` is order-dependent beyond rounding (e.g. "last lane wins") is
 /// nondeterministic on real hardware, where warp scheduling picks the order.
@@ -102,53 +103,35 @@ impl TeamPolicy {
 /// A team scratch allocation (≈ Kokkos `ScratchView` / CUDA `__shared__`).
 ///
 /// Access goes through [`ScratchBuf::write`] / [`ScratchBuf::read`], which
-/// take the accessing *lane* so the checked execution mode can shadow every
-/// access with writer/reader lane masks and flag cross-lane conflicts that
-/// are not separated by a [`Team::barrier`]. In plain mode the lane argument
-/// is ignored and the accessors compile down to slice indexing.
+/// take the accessing *lane* so a symbolic execution
+/// ([`crate::symbolic`]) can log every access with its lane and barrier
+/// epoch for the static verifier. In plain mode the lane argument is
+/// ignored and the accessors compile down to slice indexing.
 ///
 /// Reads take `&self`: after a barrier has ordered the staging stores, a
 /// buffer is a read-only tile that several consumers may share without
-/// artificial exclusivity (the shadow state behind a tracked read lives in
-/// a `RefCell`, so tracking needs no `&mut`). Writes keep `&mut self` —
-/// stores genuinely mutate the tile.
+/// artificial exclusivity (the access log sits behind a mutex, so logging
+/// needs no `&mut`). Writes keep `&mut self` — stores genuinely mutate the
+/// tile.
 pub struct ScratchBuf {
     data: Vec<f64>,
-    #[cfg(feature = "checked")]
-    track: Option<core::cell::RefCell<crate::checked::ScratchTrack>>,
-    #[cfg(feature = "checked")]
     sym: Option<crate::symbolic::SymTrack>,
 }
 
 impl ScratchBuf {
-    /// Untracked scratch (plain execution).
+    /// Unlogged scratch (plain execution).
     pub(crate) fn plain(len: usize) -> Self {
         ScratchBuf {
             data: vec![0.0; len],
-            #[cfg(feature = "checked")]
-            track: None,
-            #[cfg(feature = "checked")]
-            sym: None,
-        }
-    }
-
-    /// Tracked scratch: every access updates the shadow state.
-    #[cfg(feature = "checked")]
-    pub(crate) fn tracked(len: usize, track: crate::checked::ScratchTrack) -> Self {
-        ScratchBuf {
-            data: vec![0.0; len],
-            track: Some(core::cell::RefCell::new(track)),
             sym: None,
         }
     }
 
     /// Symbolically logged scratch: every access is appended to the
     /// barrier-segmented access log the static verifier analyzes.
-    #[cfg(feature = "checked")]
     pub(crate) fn symbolic(len: usize, sym: crate::symbolic::SymTrack) -> Self {
         ScratchBuf {
             data: vec![0.0; len],
-            track: None,
             sym: Some(sym),
         }
     }
@@ -165,17 +148,11 @@ impl ScratchBuf {
 
     /// Store `v` at `idx` from vector lane `lane`.
     pub fn write(&mut self, lane: usize, idx: usize, v: f64) {
-        #[cfg(feature = "checked")]
-        {
-            if let Some(t) = &self.track {
-                t.borrow_mut().on_write(lane, idx);
-            }
-            if let Some(s) = &self.sym {
-                // Out-of-bounds indices are reported to the verifier
-                // instead of aborting the symbolic run.
-                if !s.on_write(lane, idx) {
-                    return;
-                }
+        if let Some(s) = &self.sym {
+            // Out-of-bounds indices are reported to the verifier instead
+            // of aborting the symbolic run.
+            if !s.on_write(lane, idx) {
+                return;
             }
         }
         self.data[idx] = v;
@@ -183,21 +160,15 @@ impl ScratchBuf {
 
     /// Load the value at `idx` from vector lane `lane`.
     pub fn read(&self, lane: usize, idx: usize) -> f64 {
-        #[cfg(feature = "checked")]
-        {
-            if let Some(t) = &self.track {
-                t.borrow_mut().on_read(lane, idx);
-            }
-            if let Some(s) = &self.sym {
-                if !s.on_read(lane, idx) {
-                    return 0.0;
-                }
+        if let Some(s) = &self.sym {
+            if !s.on_read(lane, idx) {
+                return 0.0;
             }
         }
         self.data[idx]
     }
 
-    /// Raw host-side view (bypasses lane tracking; for post-kernel reads).
+    /// Raw host-side view (bypasses access logging; for post-kernel reads).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
@@ -206,8 +177,8 @@ impl ScratchBuf {
 /// The portable team-member interface kernels are written against.
 ///
 /// Implemented by the plain [`TeamMember`] and by
-/// [`crate::checked::CheckedTeamMember`]; kernels obtain a member through a
-/// [`TeamFactory`], so the *same* kernel body runs in either mode.
+/// [`crate::symbolic::SymbolicTeamMember`]; kernels obtain a member through
+/// a [`TeamFactory`], so the *same* kernel body runs in either mode.
 pub trait Team {
     /// This member's league rank (block id).
     fn league_rank(&self) -> usize;
@@ -229,8 +200,8 @@ pub trait Team {
 
     /// A barrier guarded by a per-lane predicate. On hardware a
     /// `__syncthreads()` under a lane-divergent predicate is undefined
-    /// behavior; the checking execution modes override this to record the
-    /// divergence. The default takes the barrier only when every lane
+    /// behavior; the symbolic member overrides this to record the
+    /// divergence for the verifier. The default takes the barrier only when every lane
     /// agrees, and skips a uniformly-false one.
     fn barrier_if(&mut self, pred: impl Fn(usize) -> bool) {
         let lanes_n = self.policy().vector_length.max(1);
@@ -255,8 +226,8 @@ pub trait Team {
 }
 
 /// Hands out [`Team`] members for each league rank — the seam where the
-/// checked execution mode plugs in (a `CheckCtx` is a factory of checked
-/// members; [`PlainFactory`] hands out plain ones). `Sync` because the
+/// static verifier plugs in (a [`crate::symbolic::SymbolicCtx`] is a
+/// factory of logging members; [`PlainFactory`] hands out plain ones). `Sync` because the
 /// league dimension is driven in parallel across host threads.
 pub trait TeamFactory: Sync {
     /// The member type, borrowing the caller's per-block tally.
@@ -348,7 +319,8 @@ impl<'t> TeamMember<'t> {
 
     /// Allocate team scratch (≈ `ScratchView`): run-time length, charged to
     /// the shared-memory counter. Over-allocating the spec's per-block
-    /// capacity is a debug assertion here and a hard error in checked mode.
+    /// capacity is a debug assertion here; the static verifier proves every
+    /// registered kernel fits every modeled spec.
     pub fn scratch(&mut self, len: usize) -> ScratchBuf {
         let bytes = (len * 8) as u64;
         self.scratch_used += bytes;
@@ -451,8 +423,7 @@ pub(crate) fn tree_join<T: Reducer>(mut lanes: Vec<T>, tally: &mut Tally) -> T {
 }
 
 /// Serial fold of the lane partials in an arbitrary visit order — the
-/// reference the checked mode compares the tree join against.
-#[cfg(feature = "checked")]
+/// reference the symbolic member compares the tree join against.
 pub(crate) fn join_in_order<T: Reducer>(lanes: &[T], order: impl Iterator<Item = usize>) -> T {
     let mut acc = T::identity();
     for i in order {

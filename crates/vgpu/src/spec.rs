@@ -32,7 +32,7 @@ pub struct DeviceSpec {
 
 /// Execution-model limits of a GPU block — the constraints a kernel's launch
 /// configuration must respect. Separated from [`DeviceSpec`] (throughput
-/// numbers) because the *execution* checks in [`crate::checked`] and
+/// numbers) because the static verifier's capacity and launch proofs and
 /// [`crate::kokkos::TeamMember::scratch`] depend only on these.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GpuSpec {
@@ -99,17 +99,6 @@ impl DeviceSpec {
     /// Roofline turning point: FLOPs/byte where compute meets bandwidth.
     pub fn roofline_knee(&self) -> f64 {
         self.peak_fp64_gflops / self.dram_gbps
-    }
-
-    /// Execution-model limits for this device.
-    pub fn gpu_spec(&self) -> GpuSpec {
-        if self.is_cpu {
-            GpuSpec::cpu()
-        } else if self.name.contains("MI100") {
-            GpuSpec::mi100()
-        } else {
-            GpuSpec::v100()
-        }
     }
 
     /// NVIDIA V100 (Summit): 80 SMs, 7.8 TF FP64, 890 GB/s.
@@ -276,19 +265,9 @@ impl Device {
         add("cache_flops_saved", tally.cache_flops_saved);
     }
 
-    /// Counter handle for a kernel (for repeated recording).
-    pub fn kernel_counters(&self, kernel: &str) -> Arc<crate::counters::Counters> {
-        self.kernels.kernel(kernel)
-    }
-
     /// Snapshot of a kernel's stats.
     pub fn kernel_stats(&self, kernel: &str) -> KernelStats {
         self.kernels.kernel(kernel).stats()
-    }
-
-    /// All kernels' stats, sorted by name.
-    pub fn all_kernel_stats(&self) -> Vec<(String, KernelStats)> {
-        self.kernels.all_stats()
     }
 
     /// Reset all counters.

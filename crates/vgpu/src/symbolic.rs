@@ -7,8 +7,7 @@
 //! is deterministic and drives all lanes, the logged per-lane index sets
 //! *are* each lane's complete footprint for that policy — so the analyzer
 //! in `landau-check` can quantify over **every lane pair and every
-//! interleaving** rather than the concrete schedule a runtime [`CheckCtx`]
-//! run happens to see:
+//! interleaving** rather than the one concrete schedule the engine runs:
 //!
 //! * per-lane index sets are fitted to the affine family
 //!   `{ a·lane + b + stride·k : 0 ≤ k < count }` ([`AffinePattern`]);
@@ -24,10 +23,7 @@
 //! records its arriving-lane count) and reduction-order determinism (each
 //! `vector_reduce` is re-joined in forward, reverse and rotated lane order
 //! and compared against the tree join).
-//!
-//! [`CheckCtx`]: crate::checked::CheckCtx
 
-use crate::checked::DETERMINISM_RTOL;
 use crate::counters::Tally;
 use crate::kokkos::{
     join_in_order, lane_partials, tree_join, ReducerCheck, ScratchBuf, Team, TeamFactory,
@@ -36,6 +32,13 @@ use crate::kokkos::{
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Relative tolerance for the reduction-determinism probe: permuting
+/// the join order of a well-behaved floating-point reduction moves the
+/// result by rounding only (≤ ~1e-13 relative for ≤64 lanes); 1e-9 leaves
+/// four orders of magnitude of headroom while catching genuinely
+/// order-dependent joins.
+pub const DETERMINISM_RTOL: f64 = 1e-9;
 
 /// Cap on deduplicated access events logged per scratch buffer. A kernel
 /// whose footprint exceeds this marks the log truncated, and the analyzer
